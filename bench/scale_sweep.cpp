@@ -53,9 +53,16 @@
 //   AVMEM_CHECKPOINT      like --checkpoint-in (the flag wins)
 //   AVMEM_CHECKPOINT_OUT  like --checkpoint-out (the flag wins)
 //   AVMEM_FAST=1          smoke footprint: "2000" nodes, 30 min warm-up
+//
+// A malformed numeric knob (AVMEM_SCALE_NS, AVMEM_SCALE_SEED,
+// AVMEM_SHUFFLE_PERIOD_S) or backend name exits 2 naming the variable —
+// a bench that silently ran some other configuration would publish a
+// wrong number.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -77,6 +84,21 @@ double secondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
+/// A numeric environment knob, parsed strictly: the whole value must be
+/// a decimal integer in [lo, hi]. Anything else exits 2.
+std::uint64_t knobValue(const char* var, const std::string& text,
+                        std::uint64_t lo, std::uint64_t hi) {
+  std::uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (text.empty() || ec != std::errc{} || ptr != end || v < lo || v > hi) {
+    std::cerr << "scale_sweep: invalid " << var << "='" << text
+              << "' (want an integer in [" << lo << ", " << hi << "])\n";
+    std::exit(2);
+  }
+  return v;
+}
+
 std::vector<std::uint32_t> populationSizes(bool fast) {
   std::string spec = fast ? "2000" : "10000,100000,1000000";
   if (const char* ns = std::getenv("AVMEM_SCALE_NS"); ns != nullptr) {
@@ -84,24 +106,14 @@ std::vector<std::uint32_t> populationSizes(bool fast) {
   }
   std::vector<std::uint32_t> out;
   std::size_t pos = 0;
-  while (pos < spec.size()) {
+  while (true) {
     const std::size_t comma = spec.find(',', pos);
-    const std::string token =
-        spec.substr(pos, comma == std::string::npos ? comma : comma - pos);
-    if (!token.empty()) {
-      const auto n =
-          static_cast<std::uint32_t>(std::strtoul(token.c_str(), nullptr, 10));
-      if (n >= 2) {
-        out.push_back(n);
-      } else {
-        std::cerr << "scale_sweep: ignoring AVMEM_SCALE_NS entry '" << token
-                  << "' (need an integer >= 2)\n";
-      }
-    }
-    if (comma == std::string::npos) break;
+    out.push_back(static_cast<std::uint32_t>(
+        knobValue("AVMEM_SCALE_NS", spec.substr(pos, comma - pos), 2,
+                  UINT32_MAX)));
+    if (comma == std::string::npos) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 /// One sweep point, as printed and as serialized to --json.
@@ -273,7 +285,7 @@ int main(int argc, char** argv) {
   }
   std::uint64_t seed = 20070101;
   if (const char* s = std::getenv("AVMEM_SCALE_SEED"); s != nullptr) {
-    seed = std::strtoull(s, nullptr, 10);
+    seed = knobValue("AVMEM_SCALE_SEED", s, 0, UINT64_MAX);
   }
   const auto backend = benchfig::traceBackendFromEnv("scale_sweep");
 
@@ -309,13 +321,8 @@ int main(int argc, char** argv) {
 
   std::optional<std::int64_t> shufflePeriodS;
   if (const char* sp = std::getenv("AVMEM_SHUFFLE_PERIOD_S"); sp != nullptr) {
-    const auto v = std::strtol(sp, nullptr, 10);
-    if (v > 0) {
-      shufflePeriodS = v;
-    } else {
-      std::cerr << "scale_sweep: ignoring AVMEM_SHUFFLE_PERIOD_S='" << sp
-                << "' (need a positive integer)\n";
-    }
+    shufflePeriodS = static_cast<std::int64_t>(
+        knobValue("AVMEM_SHUFFLE_PERIOD_S", sp, 1, 1'000'000'000));
   }
 
   const std::vector<std::uint32_t> sizes = populationSizes(fast);

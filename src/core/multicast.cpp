@@ -89,8 +89,12 @@ MulticastResult MulticastEngine::finalize(Handle handle) {
   }
   result.lastDeliveryLatency = last;
 
-  for (auto& task : op->gossipTasks) task->stop();
+  for (const auto& weak : op->gossipTasks) {
+    if (const auto task = weak.lock()) task->stop();
+  }
   operations_.erase(it);
+  std::erase_if(gossipTasks_,
+                [](const auto& task) { return !task->running(); });
   return result;
 }
 
@@ -144,15 +148,18 @@ void MulticastEngine::gossipFrom(std::shared_ptr<Operation> op,
   // deterministic iteration through the list ... repeats the above process
   // for Ng protocol periods."
   auto task = std::make_shared<sim::PeriodicTask>();
+  gossipTasks_.push_back(task);
   op->gossipTasks.push_back(task);
   auto sentTo = std::make_shared<std::vector<NodeIndex>>();
   auto roundsLeft = std::make_shared<int>(op->params.rounds);
 
+  // The closure lives inside the task, so it must not own the task.
+  sim::PeriodicTask* const self = task.get();
   task->start(
       ctx_.sim, ctx_.sim.now(), op->params.gossipPeriod,
-      [this, op, node, task, sentTo, roundsLeft] {
+      [this, op, node, self, sentTo, roundsLeft] {
         if (*roundsLeft <= 0) {
-          task->stop();
+          self->stop();
           return;
         }
         --*roundsLeft;

@@ -132,8 +132,10 @@ class MulticastEngine {
     /// node -> delivery record (presence = accepted the message once).
     // detlint: allow(unordered-state) dedup membership + point queries; finalize() copies into a node-sorted vector before any order-sensitive use
     std::unordered_map<net::NodeIndex, Delivery> deliveries;
-    /// Gossip tasks kept alive for the operation's duration.
-    std::vector<std::shared_ptr<sim::PeriodicTask>> gossipTasks;
+    /// The operation's gossip relay timers, stopped by finalize(). The
+    /// engine owns them (gossipTasks_): each timer's closure holds the
+    /// operation, so an operation owning its timers would be a cycle.
+    std::vector<std::weak_ptr<sim::PeriodicTask>> gossipTasks;
   };
 
   /// Message arrival at `node` from `sender` (or from the anycast stage
@@ -152,6 +154,9 @@ class MulticastEngine {
   Handle nextHandle_ = 1;
   // detlint: allow(unordered-state) keyed find/emplace/erase by handle only; never iterated, ordering cannot escape
   std::unordered_map<Handle, std::shared_ptr<Operation>> operations_;
+  /// Every gossip relay timer. A stopped timer never fires again;
+  /// finalize() releases those, and with them their closures' operations.
+  std::vector<std::shared_ptr<sim::PeriodicTask>> gossipTasks_;
 };
 
 }  // namespace avmem::core

@@ -262,7 +262,9 @@ class AvmemSimulation {
   /// versioned, CRC-protected binary stream. Throws
   /// snapshot::CheckpointUnsupportedError if the world holds state the
   /// format cannot capture (e.g. an in-flight anycast, or an aged/central
-  /// backend — the AVMON overlay snapshots via its AVMN section).
+  /// backend — the AVMON overlay snapshots via its AVMN section). The
+  /// path form writes `path.tmp` and renames it over `path` once complete,
+  /// so a refused or failed save leaves any previous file untouched.
   void saveCheckpoint(const std::string& path) const;
   void saveCheckpoint(std::ostream& out) const;
 

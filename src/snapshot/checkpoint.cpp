@@ -1,12 +1,20 @@
-// The checkpoint orchestrator: walks every state owner's saveState /
-// restoreState pair through the CheckpointAccess friend seam and frames
-// the result with snapshot_io. See checkpoint.hpp for the contract.
+// The checkpoint orchestrator. Every section's layout is described once,
+// by an io() that both archives run (snapshot_io.hpp): save gathers the
+// live owners' state into a World and writes each section from it;
+// restore parses each section into a fresh World, validates it, and only
+// then installs it and re-arms the saved events. The owners are reached
+// through the CheckpointAccess friend seam. See checkpoint.hpp for the
+// contract.
 #include "snapshot/checkpoint.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cstdio>
 #include <fstream>
 #include <functional>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -65,118 +73,75 @@ struct Mixer {
   }
 };
 
-// --- shared layouts ---------------------------------------------------------
+// --- staged state and its layouts -------------------------------------------
 
-void writeRngState(SectionWriter& sec,
-                   const std::array<std::uint64_t, 4>& s) {
-  for (const std::uint64_t w : s) sec.u64(w);
-}
+/// A sliver's four parallel arrays (SliverList keeps them private).
+struct SliverArrays {
+  std::vector<net::NodeIndex> peers;
+  std::vector<double> avs;
+  std::vector<sim::SimTime> added;
+  std::vector<sim::SimTime> refreshed;
 
-std::array<std::uint64_t, 4> readRngState(Cursor& c) {
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& w : s) w = c.u64();
-  return s;
-}
-
-void writeSliver(SectionWriter& sec, const core::SliverList& sl) {
-  sec.raw<net::NodeIndex>(sl.peers());
-  sec.raw<double>(sl.cachedAvs());
-  sec.raw<sim::SimTime>(sl.addedTimes());
-  sec.raw<sim::SimTime>(sl.refreshedTimes());
-}
-
-core::SliverList readSliver(Cursor& c) {
-  auto peers = c.raw<net::NodeIndex>();
-  auto avs = c.raw<double>();
-  auto added = c.raw<sim::SimTime>();
-  auto refreshed = c.raw<sim::SimTime>();
-  if (avs.size() != peers.size() || added.size() != peers.size() ||
-      refreshed.size() != peers.size()) {
-    throw CheckpointFormatError("checkpoint sliver: ragged arrays");
+  void assign(const core::SliverList& sl) {
+    peers.assign(sl.peers().begin(), sl.peers().end());
+    avs.assign(sl.cachedAvs().begin(), sl.cachedAvs().end());
+    added.assign(sl.addedTimes().begin(), sl.addedTimes().end());
+    refreshed.assign(sl.refreshedTimes().begin(), sl.refreshedTimes().end());
   }
-  core::SliverList sl;
-  sl.restore(std::move(peers), std::move(avs), std::move(added),
-             std::move(refreshed));
-  return sl;
+  [[nodiscard]] core::SliverList release() {
+    core::SliverList sl;
+    sl.restore(std::move(peers), std::move(avs), std::move(added),
+               std::move(refreshed));
+    return sl;
+  }
+};
+
+template <class Ar>
+void io(Ar& ar, SliverArrays& s) {
+  ar.array(s.peers);
+  ar.array(s.avs);
+  ar.array(s.added);
+  ar.array(s.refreshed);
+  ar.expect(s.avs.size() == s.peers.size() &&
+                s.added.size() == s.peers.size() &&
+                s.refreshed.size() == s.peers.size(),
+            "checkpoint sliver: ragged arrays");
 }
 
-void writeNodeStats(SectionWriter& sec, const core::NodeStats& st) {
-  sec.u64(st.discoveryRounds);
-  sec.u64(st.refreshRounds);
-  sec.u64(st.neighborsDiscovered);
-  sec.u64(st.neighborsEvicted);
-  sec.u64(st.availabilityQueries);
-  sec.u64(st.verificationQueries);
-  sec.u64(st.messagesVerified);
-  sec.u64(st.messagesRejected);
+template <class Ar>
+void io(Ar& ar, core::NodeStats& st) {
+  ar(st.discoveryRounds, st.refreshRounds, st.neighborsDiscovered,
+     st.neighborsEvicted, st.availabilityQueries, st.verificationQueries,
+     st.messagesVerified, st.messagesRejected);
 }
 
-core::NodeStats readNodeStats(Cursor& c) {
-  core::NodeStats st;
-  st.discoveryRounds = c.u64();
-  st.refreshRounds = c.u64();
-  st.neighborsDiscovered = c.u64();
-  st.neighborsEvicted = c.u64();
-  st.availabilityQueries = c.u64();
-  st.verificationQueries = c.u64();
-  st.messagesVerified = c.u64();
-  st.messagesRejected = c.u64();
-  return st;
+struct NodeRecord {
+  double selfAv = 0.0;
+  core::NodeStats stats;
+  SliverArrays hs;
+  SliverArrays vs;
+};
+
+template <class Ar>
+void io(Ar& ar, NodeRecord& r) {
+  ar(r.selfAv);
+  io(ar, r.stats);
+  io(ar, r.hs);
+  io(ar, r.vs);
 }
 
 /// ShuffleMsg goes field-by-field: the struct has padding, and padding
 /// bytes are indeterminate — serializing them would break the round-trip
 /// byte-identity property (and leak uninitialized memory into the file).
-void writeShuffleMsg(SectionWriter& sec, const net::ShuffleMsg& m) {
-  sec.u8(static_cast<std::uint8_t>(m.kind));
-  sec.u32(m.src);
-  sec.u32(m.dst);
-  sec.u32(m.payloadOffset);
-  sec.u32(m.payloadCount);
-  sec.u32(m.echoOffset);
-  sec.u32(m.echoCount);
-  sec.u64(m.seq);
-  sec.u64(m.order);
-  sec.i64(m.dueUs);
-  sec.i64(m.rawDueUs);
-}
-
-net::ShuffleMsg readShuffleMsg(Cursor& c) {
-  net::ShuffleMsg m{};
-  const std::uint8_t kind = c.u8();
-  if (kind > static_cast<std::uint8_t>(net::ShuffleMsg::Kind::kTimeout)) {
-    throw CheckpointFormatError("checkpoint channel: unknown message kind");
-  }
+template <class Ar>
+void io(Ar& ar, net::ShuffleMsg& m) {
+  auto kind = static_cast<std::uint8_t>(m.kind);
+  ar(kind);
+  ar.expect(kind <= static_cast<std::uint8_t>(net::ShuffleMsg::Kind::kTimeout),
+            "checkpoint channel: unknown message kind");
   m.kind = static_cast<net::ShuffleMsg::Kind>(kind);
-  m.src = c.u32();
-  m.dst = c.u32();
-  m.payloadOffset = c.u32();
-  m.payloadCount = c.u32();
-  m.echoOffset = c.u32();
-  m.echoCount = c.u32();
-  m.seq = c.u64();
-  m.order = c.u64();
-  m.dueUs = c.i64();
-  m.rawDueUs = c.i64();
-  return m;
-}
-
-void writeBuckets(SectionWriter& sec,
-                  const std::vector<std::vector<net::NodeIndex>>& buckets) {
-  sec.u64(buckets.size());
-  for (const auto& b : buckets) sec.raw<net::NodeIndex>(b);
-}
-
-std::vector<std::vector<net::NodeIndex>> readBuckets(Cursor& c,
-                                                     std::size_t expect) {
-  const std::uint64_t count = c.u64();
-  if (count != expect) {
-    throw CheckpointFormatError("checkpoint feed: bucket count mismatch");
-  }
-  std::vector<std::vector<net::NodeIndex>> buckets(
-      static_cast<std::size_t>(count));
-  for (auto& b : buckets) b = c.raw<net::NodeIndex>();
-  return buckets;
+  ar(m.src, m.dst, m.payloadOffset, m.payloadCount, m.echoOffset,
+     m.echoCount, m.seq, m.order, m.dueUs, m.rawDueUs);
 }
 
 /// One saved armed wheel slot. `seq` is a queue tie-break key: raw while
@@ -187,6 +152,271 @@ struct SlotRecord {
   std::int64_t fireAtUs = 0;
   std::uint64_t seq = 0;
 };
+
+template <class Ar>
+void io(Ar& ar, SlotRecord& r) {
+  ar(r.slot, r.fireAtUs, r.seq);
+}
+
+/// A single-owner periodic timer: the AVMON epoch fold, an attacker stage.
+struct TimerRecord {
+  std::uint8_t running = 0;
+  std::int64_t fireAtUs = 0;
+  std::uint64_t seq = 0;  ///< tie-break rank (see rankSavedEvents)
+};
+
+template <class Ar>
+void io(Ar& ar, TimerRecord& t) {
+  ar(t.running, t.fireAtUs, t.seq);
+}
+
+/// One attacker-campaign stage (FALT section).
+struct AttackRecord {
+  TimerRecord timer;
+  std::uint64_t sweepsDone = 0;
+};
+
+template <class Ar>
+void io(Ar& ar, AttackRecord& a) {
+  io(ar, a.timer);
+  ar(a.sweepsDone);
+}
+
+template <class Ar>
+void io(Ar& ar, avmon::AvmonSystem::SavedState::Cell& cell) {
+  ar(cell.target);
+  ar.array(cell.samples);
+  ar.array(cell.up);
+}
+
+/// A bulk array as a list element (coarse views, feed buckets).
+template <class Ar>
+void io(Ar& ar, std::vector<net::NodeIndex>& bulk) {
+  ar.array(bulk);
+}
+
+/// Payload bytes the smallest `T` occupies — what each element of a list
+/// must leave in the payload before a reader may allocate for it.
+template <class T>
+std::size_t minBytesOf() {
+  static const std::size_t bytes = [] {
+    SectionWriter probe;
+    T empty{};
+    io(probe, empty);
+    return probe.buffer().size();
+  }();
+  return bytes;
+}
+
+/// u64 length, then each element's io().
+template <class Ar, class T>
+void ioList(Ar& ar, std::vector<T>& list, const char* what,
+            std::size_t exact = kAnyCount) {
+  std::size_t n = list.size();
+  ar.count(n, minBytesOf<T>(), what, exact);
+  list.resize(n);
+  for (T& e : list) io(ar, e);
+}
+
+/// The simulation's availability model may be wrapped in a fault-plan
+/// outage overlay; backend-specific state (the Markov cursor cache)
+/// lives on the inner model either way.
+template <class Model>
+Model* unwrapOverlay(Model* m) {
+  using Overlay = std::conditional_t<std::is_const_v<Model>,
+                                     const fault::OutageOverlayModel,
+                                     fault::OutageOverlayModel>;
+  if (auto* ov = dynamic_cast<Overlay*>(m)) return &ov->inner();
+  return m;
+}
+
+/// Everything a checkpoint carries, staged outside the live owners: save
+/// gathers it before writing a byte, restore parses the whole file into
+/// it before mutating anything.
+struct World {
+  /// The world's shape — which owners exist and how large they are. The
+  /// config fingerprint pins it, so the saving system and a restore
+  /// target agree on it; the reader validates every count against it.
+  explicit World(const AvmemSimulation& sim)
+      : hosts(sim.nodeCount()),
+        feed(sim.candidateFeed() != nullptr),
+        feedBuckets(feed ? sim.candidateFeed()->bucketCount() : 0),
+        fault(sim.faultInjector() != nullptr),
+        attackStages(fault ? sim.faultInjector()->plan().attacks.size() : 0),
+        avmon(sim.avmonSystem() != nullptr),
+        markov(dynamic_cast<const trace::MarkovChurnModel*>(
+                   unwrapOverlay(&sim.trace())) != nullptr) {}
+
+  std::size_t hosts;
+  bool feed;
+  std::size_t feedBuckets;
+  bool fault;
+  std::size_t attackStages;
+  bool avmon;
+  bool markov;
+
+  std::int64_t nowUs = 0;
+  std::uint64_t executed = 0;
+  /// Restore's staging table; a save leaves it empty (see node()).
+  std::vector<NodeRecord> nodes;
+  /// The system being saved, when saving.
+  const AvmemSimulation* live = nullptr;
+  NodeRecord scratch;
+  core::MembershipEngineStats engine;
+  /// Discovery, refresh and shuffle wheels, in that order.
+  std::array<std::vector<SlotRecord>, 3> wheels;
+  avmon::ShuffleService::SavedState shuffle;
+  std::uint64_t wakeSeq = 0;
+  core::CandidateFeed::SavedState feedState;
+  std::uint64_t sealSeq = 0;
+  net::Network::SavedState network;
+  fault::FaultInjector::SavedState faultState;
+  std::vector<AttackRecord> attacks;
+  avmon::AvmonSystem::SavedState avmonState;
+  TimerRecord avmonTimer;
+  std::array<std::uint64_t, 4> facadeRng{};
+  std::vector<std::uint64_t> markovCursors;
+
+  /// NODS record `i`: the staging entry on restore; on save, a scratch
+  /// record refilled from live node `i`, so a save never holds a second
+  /// copy of every sliver.
+  NodeRecord& node(std::size_t i) {
+    if (live == nullptr) return nodes[i];
+    const core::AvmemNode& n = live->node(static_cast<net::NodeIndex>(i));
+    scratch.selfAv = n.selfAvailability();
+    scratch.stats = n.stats();
+    scratch.hs.assign(n.horizontalSliver());
+    scratch.vs.assign(n.verticalSliver());
+    return scratch;
+  }
+};
+
+/// Whether a world carries a section.
+enum class Need : std::uint8_t {
+  kAbsent,    ///< no such owner: a section for it is a format error
+  kRequired,  ///< always written; restoring without it is a format error
+  kOptional,  ///< a pure cache: always written, but restore can do without
+};
+
+/// Every section in file order: its tag, whether this world carries it,
+/// and its layout. Save writes each carried section from `w`; restore
+/// parses each tag it meets into `w` with the same body.
+template <class Visit>
+void ioSections(World& w, Visit&& visit) {
+  const auto carried = [](bool has) {
+    return has ? Need::kRequired : Need::kAbsent;
+  };
+
+  // SIMU: the clock and the executed-event count. Restoring `executed`
+  // keeps the scale-sweep `events` column comparable across the restore
+  // boundary (it is one of the thread-invariance keys).
+  visit(kSecSim, Need::kRequired, [&](auto& ar) { ar(w.nowUs, w.executed); });
+
+  // NODS: per-node protocol state, SoA sliver arrays raw.
+  visit(kSecNodes, Need::kRequired, [&](auto& ar) {
+    std::size_t count = w.hosts;
+    ar.count(count, minBytesOf<NodeRecord>(), "checkpoint nodes", w.hosts);
+    for (std::size_t i = 0; i < count; ++i) io(ar, w.node(i));
+  });
+
+  // ENGS: engine counters.
+  visit(kSecEngine, Need::kRequired, [&](auto& ar) {
+    ar(w.engine.discoveryRounds, w.engine.refreshRounds,
+       w.engine.skippedOffline, w.engine.feedCandidates);
+  });
+
+  // WHLS: the three timing wheels' armed slots — fire times and tie-break
+  // ranks only; slot *membership* is reproduced from RNG state on restore
+  // and cross-checked against these records.
+  visit(kSecWheels, Need::kRequired, [&](auto& ar) {
+    for (auto& wheel : w.wheels) ioList(ar, wheel, "checkpoint wheel");
+  });
+
+  // SHFV: coarse views + rounds + stream seeds + the post-bootstrap RNG.
+  visit(kSecShuffle, Need::kRequired, [&](auto& ar) {
+    avmon::ShuffleService::SavedState& s = w.shuffle;
+    ioList(ar, s.views, "checkpoint views", w.hosts);
+    ar.array(s.rounds);
+    ar(s.completedShuffles, s.planSeed, s.wireSeed, s.rngState);
+  });
+
+  // CHAN: every in-flight shuffle leg (heap array order preserved — pops
+  // depend on the layout), the arena, ack bookkeeping, the armed wake
+  // (instant + tie-break rank) and the wire RNG.
+  visit(kSecChannel, Need::kRequired, [&](auto& ar) {
+    net::ShuffleChannel::SavedState& ch = w.shuffle.channel;
+    ioList(ar, ch.heap, "checkpoint channel heap");
+    ar.array(ch.arena);
+    ar(ch.liveEntries);
+    ar.array(ch.awaitingAck);
+    ar(ch.nextSeq, ch.nextOrder, ch.scheduledWakeUs, w.wakeSeq,
+       ch.rngState);
+  });
+
+  // FEED: both directory sides + the seal timer.
+  visit(kSecFeed, carried(w.feed), [&](auto& ar) {
+    core::CandidateFeed::SavedState& f = w.feedState;
+    ioList(ar, f.frozenBuckets, "checkpoint feed buckets", w.feedBuckets);
+    ar(f.frozenPopulation);
+    ioList(ar, f.buildingBuckets, "checkpoint feed buckets", w.feedBuckets);
+    ar(f.buildingPopulation);
+    ar.array(f.publishedInEpoch);
+    ar.expect(f.publishedInEpoch.size() == w.hosts,
+              "checkpoint feed: population mismatch");
+    ar(f.sealedEpochs, f.sealNextFireAtUs, w.sealSeq);
+  });
+
+  // NETW: wire counters + the latency RNG.
+  visit(kSecNetwork, Need::kRequired, [&](auto& ar) {
+    net::NetworkStats& st = w.network.stats;
+    ar(st.sent, st.delivered, st.rejected, st.droppedOffline, st.acksSent,
+       st.ackTimeouts, st.bytesSent, st.duplicated, st.injectedDrops,
+       w.network.rngState);
+  });
+
+  // FALT: the fault injector's counter streams, tallies, and attacker
+  // campaign timers. The campaign itself is not serialized — the config
+  // fingerprint already pins it.
+  visit(kSecFault, carried(w.fault), [&](auto& ar) {
+    fault::FaultStats& st = w.faultState.stats;
+    ar(w.faultState.wireSeq, st.injectedDrops, st.duplicated, st.delayed,
+       st.attackSweeps, st.attackTargets, st.attackAccepted);
+    ioList(ar, w.attacks, "checkpoint fault attacks", w.attackStages);
+  });
+
+  // AVMN: the avmon overlay — fold cursor, ping accounting, epoch-task
+  // timer, and the materialized counter cells (monitor lists are a pure
+  // hash, rebuilt and cross-checked on restore).
+  visit(kSecAvmon, carried(w.avmon), [&](auto& ar) {
+    avmon::AvmonSystem::SavedState& a = w.avmonState;
+    ar(a.advancedEpochs, a.pings.sent, a.pings.delivered,
+       a.pings.lostToFaults, a.pings.bytes);
+    io(ar, w.avmonTimer);
+    ioList(ar, a.cells, "checkpoint avmon cells");
+    ar.expect(a.cells.size() <= w.hosts,
+              "checkpoint avmon: cell count exceeds population");
+  });
+
+  // SRNG: the facade RNG (pickInitiator draws) — restoring it keeps
+  // post-restore anycast batches identical to a straight-through run.
+  visit(kSecRng, Need::kRequired, [&](auto& ar) { ar(w.facadeRng); });
+
+  // MRKV: the Markov trace's per-host cursors. Pure caches — omitting
+  // them changes no answer — but restoring them makes the first
+  // post-restore epoch O(1) per host instead of a block replay.
+  visit(kSecMarkov, w.markov ? Need::kOptional : Need::kAbsent,
+        [&](auto& ar) { ar.array(w.markovCursors); });
+}
+
+std::string tagName(std::uint32_t tag) {
+  std::string name(4, '?');
+  for (std::size_t i = 0; i < 4; ++i) {
+    name[i] = static_cast<char>((tag >> (8 * i)) & 0xFFu);
+  }
+  return name;
+}
+
+// --- event accounting --------------------------------------------------------
 
 std::vector<SlotRecord> collectWheel(const sim::Simulator& simlr,
                                      const sim::ShardedScheduler& wheel,
@@ -208,15 +438,6 @@ std::vector<SlotRecord> collectWheel(const sim::Simulator& simlr,
   return recs;
 }
 
-void writeWheel(SectionWriter& sec, const std::vector<SlotRecord>& recs) {
-  sec.u64(recs.size());
-  for (const SlotRecord& r : recs) {
-    sec.u32(r.slot);
-    sec.i64(r.fireAtUs);
-    sec.u64(r.seq);
-  }
-}
-
 /// Replace every saved event's raw queue seq with its dense rank in
 /// (fireAt, rawSeq) order. The raw counters are run-history artifacts
 /// (they keep growing over a run); ranks carry exactly the information
@@ -234,23 +455,6 @@ void rankSavedEvents(std::vector<std::uint64_t*> seqs,
   std::vector<std::uint64_t> ranks(seqs.size());
   for (std::size_t r = 0; r < idx.size(); ++r) ranks[idx[r]] = r;
   for (std::size_t i = 0; i < seqs.size(); ++i) *seqs[i] = ranks[i];
-}
-
-std::vector<SlotRecord> readWheel(Cursor& c) {
-  const std::uint64_t count = c.u64();
-  if (count > c.remaining() / (sizeof(std::uint32_t) +
-                               sizeof(std::int64_t) +
-                               sizeof(std::uint64_t))) {
-    throw CheckpointFormatError(
-        "checkpoint wheel: slot count exceeds payload");
-  }
-  std::vector<SlotRecord> recs(static_cast<std::size_t>(count));
-  for (SlotRecord& r : recs) {
-    r.slot = c.u32();
-    r.fireAtUs = c.i64();
-    r.seq = c.u64();
-  }
-  return recs;
 }
 
 /// Save-time gate: the format captures maintenance-quiescent worlds only.
@@ -293,30 +497,20 @@ std::uint64_t liveSeqOf(const sim::Simulator& simulator,
   return seq;
 }
 
+/// A single-owner timer's saved record (all zero when it is not running).
+TimerRecord timerOf(const sim::Simulator& simulator,
+                    const sim::PeriodicTask& task, const char* what) {
+  if (!task.running()) return {};
+  return {1, task.nextFireAt().toMicros(),
+          liveSeqOf(simulator, task.pendingHandle(), what)};
+}
+
 /// One deferred re-arm, executed in ascending (fireAt, savedSeq) order so
 /// the fresh event queue reproduces every same-instant tie outcome.
 struct ArmRequest {
   std::int64_t atUs = 0;
   std::uint64_t savedSeq = 0;
   std::function<void()> arm;
-};
-
-/// The simulation's availability model may be wrapped in a fault-plan
-/// outage overlay; backend-specific state (the Markov cursor cache)
-/// lives on the inner model either way.
-trace::AvailabilityModel* unwrapOverlay(trace::AvailabilityModel* m) {
-  if (auto* ov = dynamic_cast<fault::OutageOverlayModel*>(m)) {
-    return &ov->inner();
-  }
-  return m;
-}
-
-/// One saved attacker-campaign timer (FALT section).
-struct AttackRecord {
-  std::uint8_t running = 0;
-  std::int64_t fireAtUs = 0;
-  std::uint64_t seq = 0;       ///< tie-break rank (see rankSavedEvents)
-  std::uint64_t sweepsDone = 0;
 };
 
 }  // namespace
@@ -421,87 +615,75 @@ void CheckpointAccess::save(const AvmemSimulation& sim, std::ostream& out) {
                         sim.feed_ != nullptr, runningAttackTimers,
                         avmonTaskRunning);
 
-  // Gather every saved event's (fire time, raw queue seq) up front, then
-  // normalize the seqs to dense ranks so the file is canonical (see
-  // rankSavedEvents).
-  std::vector<SlotRecord> discRecs =
-      collectWheel(*sim.sim_, sim.engine_->discoveryScheduler(), "discovery");
-  std::vector<SlotRecord> refreshRecs =
-      collectWheel(*sim.sim_, sim.engine_->refreshScheduler(), "refresh");
-  std::vector<SlotRecord> shuffleRecs =
-      collectWheel(*sim.sim_, sim.shuffle_->scheduler(), "shuffle");
-
-  const avmon::ShuffleService::SavedState shf = sim.shuffle_->saveState();
+  // Gather every owner's state and every saved event's (fire time, raw
+  // queue seq) up front; the seqs are then normalized to dense ranks so
+  // the file is canonical (see rankSavedEvents).
+  World w(sim);
+  w.live = &sim;
+  w.nowUs = sim.sim_->now().toMicros();
+  w.executed = sim.sim_->executedEvents();
+  w.engine = sim.engine_->stats();
+  w.wheels = {
+      collectWheel(*sim.sim_, sim.engine_->discoveryScheduler(), "discovery"),
+      collectWheel(*sim.sim_, sim.engine_->refreshScheduler(), "refresh"),
+      collectWheel(*sim.sim_, sim.shuffle_->scheduler(), "shuffle")};
+  w.shuffle = sim.shuffle_->saveState();
   const bool haveWake =
-      shf.channel.scheduledWakeUs != net::ShuffleChannel::kNoWakeSaved;
-  std::uint64_t wakeSeq =
-      haveWake ? liveSeqOf(*sim.sim_, sim.shuffle_->channel().wakeHandle(),
-                           "channel wake")
-               : 0;
-
-  core::CandidateFeed::SavedState fs;
-  std::uint64_t sealSeq = 0;
+      w.shuffle.channel.scheduledWakeUs != net::ShuffleChannel::kNoWakeSaved;
+  if (haveWake) {
+    w.wakeSeq = liveSeqOf(*sim.sim_, sim.shuffle_->channel().wakeHandle(),
+                          "channel wake");
+  }
   if (sim.feed_ != nullptr) {
-    fs = sim.feed_->saveState();
-    sealSeq = liveSeqOf(*sim.sim_, sim.feed_->sealTask().pendingHandle(),
-                        "feed seal");
+    w.feedState = sim.feed_->saveState();
+    w.sealSeq = liveSeqOf(*sim.sim_, sim.feed_->sealTask().pendingHandle(),
+                          "feed seal");
   }
-
-  avmon::AvmonSystem::SavedState avState;
-  std::int64_t avFireAtUs = 0;
-  std::uint64_t avSeq = 0;
-  if (sim.avmonSystem_ != nullptr) {
-    avState = sim.avmonSystem_->saveState();
-    if (avmonTaskRunning) {
-      const sim::PeriodicTask& task = sim.avmonSystem_->epochTask();
-      avFireAtUs = task.nextFireAt().toMicros();
-      avSeq = liveSeqOf(*sim.sim_, task.pendingHandle(), "avmon epoch fold");
-    }
-  }
-
-  fault::FaultInjector::SavedState faultState;
-  std::vector<AttackRecord> attackRecs;
+  w.network = sim.network_->saveState();
   if (sim.fault_ != nullptr) {
-    faultState = sim.fault_->saveState();
-    attackRecs.resize(sim.attackTasks_.size());
+    w.faultState = sim.fault_->saveState();
     for (std::size_t i = 0; i < sim.attackTasks_.size(); ++i) {
-      AttackRecord& rec = attackRecs[i];
-      rec.sweepsDone = faultState.attackSweepsDone[i];
-      const sim::PeriodicTask& task = *sim.attackTasks_[i];
-      if (task.running()) {
-        rec.running = 1;
-        rec.fireAtUs = task.nextFireAt().toMicros();
-        rec.seq = liveSeqOf(*sim.sim_, task.pendingHandle(),
-                            "attack campaign");
-      }
+      w.attacks.push_back(
+          {timerOf(*sim.sim_, *sim.attackTasks_[i], "attack campaign"),
+           w.faultState.attackSweepsDone[i]});
     }
+  }
+  if (sim.avmonSystem_ != nullptr) {
+    w.avmonState = sim.avmonSystem_->saveState();
+    w.avmonTimer = timerOf(*sim.sim_, sim.avmonSystem_->epochTask(),
+                           "avmon epoch fold");
+  }
+  w.facadeRng = sim.rng_.saveState();
+  if (const auto* markov = dynamic_cast<const trace::MarkovChurnModel*>(
+          unwrapOverlay(sim.trace_.get()))) {
+    w.markovCursors = markov->saveCursors();
   }
 
   {
     std::vector<std::uint64_t*> seqs;
     std::vector<std::int64_t> ats;
-    for (auto* recs : {&discRecs, &refreshRecs, &shuffleRecs}) {
-      for (SlotRecord& r : *recs) {
+    for (std::vector<SlotRecord>& recs : w.wheels) {
+      for (SlotRecord& r : recs) {
         seqs.push_back(&r.seq);
         ats.push_back(r.fireAtUs);
       }
     }
     if (haveWake) {
-      seqs.push_back(&wakeSeq);
-      ats.push_back(shf.channel.scheduledWakeUs);
+      seqs.push_back(&w.wakeSeq);
+      ats.push_back(w.shuffle.channel.scheduledWakeUs);
     }
     if (sim.feed_ != nullptr) {
-      seqs.push_back(&sealSeq);
-      ats.push_back(fs.sealNextFireAtUs);
+      seqs.push_back(&w.sealSeq);
+      ats.push_back(w.feedState.sealNextFireAtUs);
     }
-    for (AttackRecord& rec : attackRecs) {
-      if (rec.running == 0) continue;
-      seqs.push_back(&rec.seq);
-      ats.push_back(rec.fireAtUs);
+    for (AttackRecord& rec : w.attacks) {
+      if (rec.timer.running == 0) continue;
+      seqs.push_back(&rec.timer.seq);
+      ats.push_back(rec.timer.fireAtUs);
     }
-    if (avmonTaskRunning) {
-      seqs.push_back(&avSeq);
-      ats.push_back(avFireAtUs);
+    if (w.avmonTimer.running != 0) {
+      seqs.push_back(&w.avmonTimer.seq);
+      ats.push_back(w.avmonTimer.fireAtUs);
     }
     rankSavedEvents(std::move(seqs), ats);
   }
@@ -515,161 +697,12 @@ void CheckpointAccess::save(const AvmemSimulation& sim, std::ostream& out) {
   writer.writeHeader(header);
 
   SectionWriter sec;
-
-  // SIMU: the clock and the executed-event count. Restoring `executed`
-  // keeps the scale-sweep `events` column comparable across the restore
-  // boundary (it is one of the thread-invariance keys).
-  sec.clear();
-  sec.i64(sim.sim_->now().toMicros());
-  sec.u64(sim.sim_->executedEvents());
-  writer.writeSection(kSecSim, sec);
-
-  // NODS: per-node protocol state, SoA sliver arrays raw.
-  sec.clear();
-  sec.u64(sim.nodes_.size());
-  for (const core::AvmemNode& node : sim.nodes_) {
-    sec.f64(node.selfAvailability());
-    writeNodeStats(sec, node.stats());
-    writeSliver(sec, node.horizontalSliver());
-    writeSliver(sec, node.verticalSliver());
-  }
-  writer.writeSection(kSecNodes, sec);
-
-  // ENGS: engine counters.
-  sec.clear();
-  const core::MembershipEngineStats& es = sim.engine_->stats();
-  sec.u64(es.discoveryRounds);
-  sec.u64(es.refreshRounds);
-  sec.u64(es.skippedOffline);
-  sec.u64(es.feedCandidates);
-  writer.writeSection(kSecEngine, sec);
-
-  // WHLS: the three timing wheels' armed slots — fire times and tie-break
-  // ranks only; slot *membership* is reproduced from RNG state on restore
-  // and cross-checked against these records.
-  sec.clear();
-  writeWheel(sec, discRecs);
-  writeWheel(sec, refreshRecs);
-  writeWheel(sec, shuffleRecs);
-  writer.writeSection(kSecWheels, sec);
-
-  // SHFV: coarse views + rounds + stream seeds + the post-bootstrap RNG.
-  sec.clear();
-  sec.u64(shf.views.size());
-  for (const auto& view : shf.views) sec.raw<net::NodeIndex>(view);
-  sec.raw<std::uint32_t>(shf.rounds);
-  sec.u64(shf.completedShuffles);
-  sec.u64(shf.planSeed);
-  sec.u64(shf.wireSeed);
-  writeRngState(sec, shf.rngState);
-  writer.writeSection(kSecShuffle, sec);
-
-  // CHAN: every in-flight shuffle leg (heap array order preserved — pops
-  // depend on the layout), the arena, ack bookkeeping, the wire RNG, and
-  // the armed wake (instant + tie-break seq).
-  sec.clear();
-  const net::ShuffleChannel::SavedState& ch = shf.channel;
-  sec.u64(ch.heap.size());
-  for (const net::ShuffleMsg& msg : ch.heap) writeShuffleMsg(sec, msg);
-  sec.raw<net::NodeIndex>(ch.arena);
-  sec.u64(ch.liveEntries);
-  sec.raw<std::uint64_t>(ch.awaitingAck);
-  sec.u64(ch.nextSeq);
-  sec.u64(ch.nextOrder);
-  sec.i64(ch.scheduledWakeUs);
-  sec.u64(wakeSeq);
-  writeRngState(sec, ch.rngState);
-  writer.writeSection(kSecChannel, sec);
-
-  // FEED: both directory sides + the seal timer (iff the feed exists).
-  if (sim.feed_ != nullptr) {
+  ioSections(w, [&](std::uint32_t tag, Need need, auto&& body) {
+    if (need == Need::kAbsent) return;
     sec.clear();
-    writeBuckets(sec, fs.frozenBuckets);
-    sec.u64(fs.frozenPopulation);
-    writeBuckets(sec, fs.buildingBuckets);
-    sec.u64(fs.buildingPopulation);
-    sec.raw<std::uint32_t>(fs.publishedInEpoch);
-    sec.u64(fs.sealedEpochs);
-    sec.i64(fs.sealNextFireAtUs);
-    sec.u64(sealSeq);
-    writer.writeSection(kSecFeed, sec);
-  }
-
-  // NETW: wire counters + the latency RNG.
-  sec.clear();
-  const net::Network::SavedState ns = sim.network_->saveState();
-  sec.u64(ns.stats.sent);
-  sec.u64(ns.stats.delivered);
-  sec.u64(ns.stats.rejected);
-  sec.u64(ns.stats.droppedOffline);
-  sec.u64(ns.stats.acksSent);
-  sec.u64(ns.stats.ackTimeouts);
-  sec.u64(ns.stats.bytesSent);
-  sec.u64(ns.stats.duplicated);
-  sec.u64(ns.stats.injectedDrops);
-  writeRngState(sec, ns.rngState);
-  writer.writeSection(kSecNetwork, sec);
-
-  // FALT: the fault injector's counter streams, tallies, and attacker
-  // campaign timers (iff a plan is active). The campaign itself is not
-  // serialized — the config fingerprint already pins it.
-  if (sim.fault_ != nullptr) {
-    sec.clear();
-    for (const std::uint64_t s : faultState.wireSeq) sec.u64(s);
-    sec.u64(faultState.stats.injectedDrops);
-    sec.u64(faultState.stats.duplicated);
-    sec.u64(faultState.stats.delayed);
-    sec.u64(faultState.stats.attackSweeps);
-    sec.u64(faultState.stats.attackTargets);
-    sec.u64(faultState.stats.attackAccepted);
-    sec.u64(attackRecs.size());
-    for (const AttackRecord& rec : attackRecs) {
-      sec.u8(rec.running);
-      sec.i64(rec.fireAtUs);
-      sec.u64(rec.seq);
-      sec.u64(rec.sweepsDone);
-    }
-    writer.writeSection(kSecFault, sec);
-  }
-
-  // AVMN: the avmon overlay — fold cursor, ping accounting, epoch-task
-  // timer, and the materialized counter cells (monitor lists are a pure
-  // hash, rebuilt and cross-checked on restore).
-  if (sim.avmonSystem_ != nullptr) {
-    sec.clear();
-    sec.u64(avState.advancedEpochs);
-    sec.u64(avState.pings.sent);
-    sec.u64(avState.pings.delivered);
-    sec.u64(avState.pings.lostToFaults);
-    sec.u64(avState.pings.bytes);
-    sec.u8(avmonTaskRunning ? 1 : 0);
-    sec.i64(avFireAtUs);
-    sec.u64(avSeq);
-    sec.u64(avState.cells.size());
-    for (const avmon::AvmonSystem::SavedState::Cell& cell : avState.cells) {
-      sec.u32(cell.target);
-      sec.raw<std::uint32_t>(cell.samples);
-      sec.raw<std::uint32_t>(cell.up);
-    }
-    writer.writeSection(kSecAvmon, sec);
-  }
-
-  // SRNG: the facade RNG (pickInitiator draws) — restoring it keeps
-  // post-restore anycast batches identical to a straight-through run.
-  sec.clear();
-  writeRngState(sec, sim.rng_.saveState());
-  writer.writeSection(kSecRng, sec);
-
-  // MRKV: the Markov trace's per-host cursors. Pure caches — omitting
-  // them changes no answer — but restoring them makes the first
-  // post-restore epoch O(1) per host instead of a block replay.
-  if (const auto* markov = dynamic_cast<const trace::MarkovChurnModel*>(
-          unwrapOverlay(sim.trace_.get()))) {
-    sec.clear();
-    sec.raw<std::uint64_t>(markov->saveCursors());
-    writer.writeSection(kSecMarkov, sec);
-  }
-
+    body(sec);
+    writer.writeSection(tag, sec);
+  });
   writer.finish();
 }
 
@@ -696,271 +729,69 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
 
   // --- parse every section into staging state (skipping unknown tags) ---
 
-  struct NodeRecord {
-    double selfAv = 0.0;
-    core::NodeStats stats;
-    core::SliverList hs;
-    core::SliverList vs;
-  };
-
-  bool haveSim = false, haveNodes = false, haveEngine = false,
-       haveWheels = false, haveShuffle = false, haveChannel = false,
-       haveFeed = false, haveNetwork = false, haveRng = false;
-  std::int64_t nowUs = 0;
-  std::uint64_t executed = 0;
-  std::vector<NodeRecord> nodeRecords;
-  core::MembershipEngineStats engineStats;
-  std::vector<SlotRecord> discSlots, refreshSlots, shuffleSlots;
-  avmon::ShuffleService::SavedState shf;
-  std::uint64_t wakeSeq = 0;
-  core::CandidateFeed::SavedState feedState;
-  std::uint64_t sealSeq = 0;
-  net::Network::SavedState netState;
-  std::array<std::uint64_t, 4> facadeRng{};
-  std::vector<std::uint64_t> markovCursors;
-  bool haveMarkov = false;
-  fault::FaultInjector::SavedState faultState;
-  std::vector<AttackRecord> attackRecs;
-  bool haveFault = false;
-  avmon::AvmonSystem::SavedState avState;
-  std::uint8_t avRunning = 0;
-  std::int64_t avFireAtUs = 0;
-  std::uint64_t avSeq = 0;
-  bool haveAvmon = false;
-
+  World w(sim);
+  w.nodes.resize(n);
+  std::vector<std::uint32_t> seen;
   std::uint32_t id = 0;
   std::vector<std::uint8_t> payload;
   while (reader.nextSection(id, payload)) {
-    Cursor c(payload.data(), payload.size());
-    switch (id) {
-      case kSecSim: {
-        nowUs = c.i64();
-        executed = c.u64();
-        haveSim = true;
-        break;
+    ioSections(w, [&](std::uint32_t tag, Need need, auto&& body) {
+      if (tag != id) return;
+      if (need == Need::kAbsent) {
+        throw CheckpointFormatError("checkpoint: " + tagName(tag) +
+                                    " section present but this world has "
+                                    "no such state owner");
       }
-      case kSecNodes: {
-        const std::uint64_t count = c.u64();
-        if (count != n) {
-          throw CheckpointFormatError(
-              "checkpoint nodes: population mismatch");
-        }
-        nodeRecords.resize(n);
-        for (NodeRecord& r : nodeRecords) {
-          r.selfAv = c.f64();
-          r.stats = readNodeStats(c);
-          r.hs = readSliver(c);
-          r.vs = readSliver(c);
-        }
-        haveNodes = true;
-        break;
+      Cursor c(payload);
+      body(c);
+      if (!c.atEnd()) {
+        throw CheckpointFormatError(
+            "checkpoint: " + tagName(tag) + " section has " +
+            std::to_string(c.remaining()) + " unread payload bytes");
       }
-      case kSecEngine: {
-        engineStats.discoveryRounds = c.u64();
-        engineStats.refreshRounds = c.u64();
-        engineStats.skippedOffline = c.u64();
-        engineStats.feedCandidates = c.u64();
-        haveEngine = true;
-        break;
-      }
-      case kSecWheels: {
-        discSlots = readWheel(c);
-        refreshSlots = readWheel(c);
-        shuffleSlots = readWheel(c);
-        haveWheels = true;
-        break;
-      }
-      case kSecShuffle: {
-        const std::uint64_t count = c.u64();
-        if (count != n) {
-          throw CheckpointFormatError(
-              "checkpoint views: population mismatch");
-        }
-        shf.views.resize(n);
-        for (auto& view : shf.views) view = c.raw<net::NodeIndex>();
-        shf.rounds = c.raw<std::uint32_t>();
-        shf.completedShuffles = c.u64();
-        shf.planSeed = c.u64();
-        shf.wireSeed = c.u64();
-        shf.rngState = readRngState(c);
-        haveShuffle = true;
-        break;
-      }
-      case kSecChannel: {
-        const std::uint64_t count = c.u64();
-        constexpr std::size_t kMsgBytes = 1 + 6 * 4 + 2 * 8 + 2 * 8;
-        if (count > c.remaining() / kMsgBytes) {
-          throw CheckpointFormatError(
-              "checkpoint channel: heap length exceeds payload");
-        }
-        shf.channel.heap.resize(static_cast<std::size_t>(count));
-        for (net::ShuffleMsg& msg : shf.channel.heap) {
-          msg = readShuffleMsg(c);
-        }
-        shf.channel.arena = c.raw<net::NodeIndex>();
-        shf.channel.liveEntries = c.u64();
-        shf.channel.awaitingAck = c.raw<std::uint64_t>();
-        shf.channel.nextSeq = c.u64();
-        shf.channel.nextOrder = c.u64();
-        shf.channel.scheduledWakeUs = c.i64();
-        wakeSeq = c.u64();
-        shf.channel.rngState = readRngState(c);
-        haveChannel = true;
-        break;
-      }
-      case kSecFeed: {
-        if (sim.feed_ == nullptr) {
-          throw CheckpointFormatError(
-              "checkpoint: feed section present but the feed is disabled");
-        }
-        const std::size_t buckets = sim.feed_->bucketCount();
-        feedState.frozenBuckets = readBuckets(c, buckets);
-        feedState.frozenPopulation = c.u64();
-        feedState.buildingBuckets = readBuckets(c, buckets);
-        feedState.buildingPopulation = c.u64();
-        feedState.publishedInEpoch = c.raw<std::uint32_t>();
-        if (feedState.publishedInEpoch.size() != n) {
-          throw CheckpointFormatError(
-              "checkpoint feed: population mismatch");
-        }
-        feedState.sealedEpochs = c.u64();
-        feedState.sealNextFireAtUs = c.i64();
-        sealSeq = c.u64();
-        haveFeed = true;
-        break;
-      }
-      case kSecNetwork: {
-        netState.stats.sent = c.u64();
-        netState.stats.delivered = c.u64();
-        netState.stats.rejected = c.u64();
-        netState.stats.droppedOffline = c.u64();
-        netState.stats.acksSent = c.u64();
-        netState.stats.ackTimeouts = c.u64();
-        netState.stats.bytesSent = c.u64();
-        netState.stats.duplicated = c.u64();
-        netState.stats.injectedDrops = c.u64();
-        netState.rngState = readRngState(c);
-        haveNetwork = true;
-        break;
-      }
-      case kSecFault: {
-        for (std::uint64_t& s : faultState.wireSeq) s = c.u64();
-        faultState.stats.injectedDrops = c.u64();
-        faultState.stats.duplicated = c.u64();
-        faultState.stats.delayed = c.u64();
-        faultState.stats.attackSweeps = c.u64();
-        faultState.stats.attackTargets = c.u64();
-        faultState.stats.attackAccepted = c.u64();
-        const std::uint64_t count = c.u64();
-        constexpr std::size_t kRecBytes = 1 + 8 + 8 + 8;
-        if (count > c.remaining() / kRecBytes) {
-          throw CheckpointFormatError(
-              "checkpoint fault: attack count exceeds payload");
-        }
-        attackRecs.resize(static_cast<std::size_t>(count));
-        for (AttackRecord& rec : attackRecs) {
-          rec.running = c.u8();
-          rec.fireAtUs = c.i64();
-          rec.seq = c.u64();
-          rec.sweepsDone = c.u64();
-          faultState.attackSweepsDone.push_back(rec.sweepsDone);
-        }
-        haveFault = true;
-        break;
-      }
-      case kSecAvmon: {
-        if (sim.avmonSystem_ == nullptr) {
-          throw CheckpointFormatError(
-              "checkpoint: AVMN section present but the avmon backend is "
-              "not active");
-        }
-        avState.advancedEpochs = c.u64();
-        avState.pings.sent = c.u64();
-        avState.pings.delivered = c.u64();
-        avState.pings.lostToFaults = c.u64();
-        avState.pings.bytes = c.u64();
-        avRunning = c.u8();
-        avFireAtUs = c.i64();
-        avSeq = c.u64();
-        const std::uint64_t count = c.u64();
-        if (count > n) {
-          throw CheckpointFormatError(
-              "checkpoint avmon: cell count exceeds population");
-        }
-        avState.cells.resize(static_cast<std::size_t>(count));
-        for (auto& cell : avState.cells) {
-          cell.target = c.u32();
-          cell.samples = c.raw<std::uint32_t>();
-          cell.up = c.raw<std::uint32_t>();
-        }
-        haveAvmon = true;
-        break;
-      }
-      case kSecRng: {
-        facadeRng = readRngState(c);
-        haveRng = true;
-        break;
-      }
-      case kSecMarkov: {
-        markovCursors = c.raw<std::uint64_t>();
-        haveMarkov = true;
-        break;
-      }
-      default:
-        break;  // unknown section: skip (forward compatibility)
+      seen.push_back(tag);
+    });
+  }
+  ioSections(w, [&](std::uint32_t tag, Need need, auto&&) {
+    if (need == Need::kRequired &&
+        std::find(seen.begin(), seen.end(), tag) == seen.end()) {
+      throw CheckpointFormatError("checkpoint: missing the " + tagName(tag) +
+                                  " section");
     }
-  }
-
-  if (!haveSim || !haveNodes || !haveEngine || !haveWheels ||
-      !haveShuffle || !haveChannel || !haveNetwork || !haveRng) {
-    throw CheckpointFormatError(
-        "checkpoint: missing a mandatory section");
-  }
-  if ((sim.feed_ != nullptr) != haveFeed) {
-    throw CheckpointFormatError(
-        "checkpoint: feed enabled but no feed section saved");
-  }
-  // The fingerprint already pins the campaign, so a mismatch here means
-  // a corrupt or hand-edited file, not a config drift.
-  if ((sim.fault_ != nullptr) != haveFault) {
-    throw CheckpointFormatError(
-        "checkpoint: fault plan active but no FALT section saved (or "
-        "vice versa)");
-  }
-  if (haveFault && attackRecs.size() != sim.attackTasks_.size()) {
-    throw CheckpointFormatError(
-        "checkpoint fault: attack stage count mismatch");
-  }
-  if ((sim.avmonSystem_ != nullptr) != haveAvmon) {
-    throw CheckpointFormatError(
-        "checkpoint: avmon backend active but no AVMN section saved (or "
-        "vice versa)");
-  }
+  });
 
   // --- install state (no events scheduled yet) ---
 
   sim.started_ = true;
-  sim.sim_->restoreClock(sim::SimTime::micros(nowUs), executed);
+  sim.sim_->restoreClock(sim::SimTime::micros(w.nowUs), w.executed);
 
   for (std::size_t i = 0; i < n; ++i) {
-    NodeRecord& r = nodeRecords[i];
-    sim.nodes_[i].restoreState(r.selfAv, std::move(r.hs), std::move(r.vs),
+    NodeRecord& r = w.nodes[i];
+    sim.nodes_[i].restoreState(r.selfAv, r.hs.release(), r.vs.release(),
                                r.stats);
   }
 
   sim.engine_->prepareResume();
-  sim.engine_->restoreStats(engineStats);
-  sim.shuffle_->restoreState(std::move(shf));
-  const std::int64_t sealFireAtUs = feedState.sealNextFireAtUs;
-  if (sim.feed_ != nullptr) sim.feed_->restoreState(std::move(feedState));
-  sim.network_->restoreState(netState);
-  sim.rng_ = sim::Rng::fromState(facadeRng);
-  if (sim.fault_ != nullptr) sim.fault_->restoreState(faultState);
-  if (sim.avmonSystem_ != nullptr) sim.avmonSystem_->restoreState(avState);
+  sim.engine_->restoreStats(w.engine);
+  sim.shuffle_->restoreState(std::move(w.shuffle));
+  const std::int64_t sealAt = w.feedState.sealNextFireAtUs;
+  if (sim.feed_ != nullptr) sim.feed_->restoreState(std::move(w.feedState));
+  sim.network_->restoreState(w.network);
+  sim.rng_ = sim::Rng::fromState(w.facadeRng);
+  if (sim.fault_ != nullptr) {
+    for (const AttackRecord& rec : w.attacks) {
+      w.faultState.attackSweepsDone.push_back(rec.sweepsDone);
+    }
+    sim.fault_->restoreState(w.faultState);
+  }
+  if (sim.avmonSystem_ != nullptr) {
+    sim.avmonSystem_->restoreState(w.avmonState);
+  }
   if (auto* markov = dynamic_cast<trace::MarkovChurnModel*>(
           unwrapOverlay(sim.trace_.get()));
-      markov != nullptr && haveMarkov) {
-    markov->restoreCursors(markovCursors);
+      markov != nullptr &&
+      std::find(seen.begin(), seen.end(), kSecMarkov) != seen.end()) {
+    markov->restoreCursors(w.markovCursors);
   }
 
   // --- re-arm every saved event in (fireAt, saved tie-break seq) order ---
@@ -972,8 +803,8 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
   // straight-through run.
 
   std::vector<ArmRequest> arms;
-  auto collectWheel = [&](sim::ShardedScheduler& wheel,
-                          std::vector<SlotRecord>& recs, const char* name) {
+  auto armWheel = [&](sim::ShardedScheduler& wheel,
+                      const std::vector<SlotRecord>& recs, const char* name) {
     if (recs.size() != wheel.activeShardCount()) {
       throw CheckpointFormatError(
           std::string("checkpoint: ") + name +
@@ -993,29 +824,28 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
                       }});
     }
   };
-  collectWheel(sim.engine_->discoveryWheel(), discSlots, "discovery");
-  collectWheel(sim.engine_->refreshWheel(), refreshSlots, "refresh");
-  collectWheel(sim.shuffle_->wheel(), shuffleSlots, "shuffle");
+  armWheel(sim.engine_->discoveryWheel(), w.wheels[0], "discovery");
+  armWheel(sim.engine_->refreshWheel(), w.wheels[1], "refresh");
+  armWheel(sim.shuffle_->wheel(), w.wheels[2], "shuffle");
 
   net::ShuffleChannel& channel = sim.shuffle_->channel();
   if (channel.scheduledWakeMicros() != net::ShuffleChannel::kNoWakeSaved) {
-    arms.push_back({channel.scheduledWakeMicros(), wakeSeq,
+    arms.push_back({channel.scheduledWakeMicros(), w.wakeSeq,
                     [&channel] { channel.armWake(); }});
   }
   if (sim.feed_ != nullptr) {
-    const std::int64_t sealAt = sealFireAtUs;
     arms.push_back(
-        {sealAt, sealSeq, [&sim, sealAt] {
+        {sealAt, w.sealSeq, [&sim, sealAt] {
            sim.feed_->armSeal(*sim.sim_,
                               sim.config_.protocol.discoveryPeriod,
                               sim::SimTime::micros(sealAt));
          }});
   }
-  for (std::size_t i = 0; i < attackRecs.size(); ++i) {
-    const AttackRecord& rec = attackRecs[i];
-    if (rec.running == 0) continue;  // stage window already closed
+  for (std::size_t i = 0; i < w.attacks.size(); ++i) {
+    const TimerRecord& t = w.attacks[i].timer;
+    if (t.running == 0) continue;  // stage window already closed
     arms.push_back(
-        {rec.fireAtUs, rec.seq, [&sim, i, at = rec.fireAtUs] {
+        {t.fireAtUs, t.seq, [&sim, i, at = t.fireAtUs] {
            sim.attackTasks_[i]->start(
                *sim.sim_, sim::SimTime::micros(at),
                sim::SimDuration::micros(
@@ -1024,8 +854,9 @@ void CheckpointAccess::restore(AvmemSimulation& sim, std::istream& in) {
          }});
   }
 
-  if (avRunning != 0) {
-    arms.push_back({avFireAtUs, avSeq, [&sim, at = avFireAtUs] {
+  if (w.avmonTimer.running != 0) {
+    arms.push_back({w.avmonTimer.fireAtUs, w.avmonTimer.seq,
+                    [&sim, at = w.avmonTimer.fireAtUs] {
                       // start() recomputes the next boundary from the
                       // restored fold cursor; it must land exactly where
                       // the saved timer was armed.
@@ -1060,15 +891,28 @@ void AvmemSimulation::saveCheckpoint(std::ostream& out) const {
 }
 
 void AvmemSimulation::saveCheckpoint(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw snapshot::CheckpointIoError(
-        "cannot open checkpoint for writing: " + path);
-  }
-  saveCheckpoint(static_cast<std::ostream&>(out));
-  out.close();
-  if (!out) {
-    throw snapshot::CheckpointIoError("checkpoint close failed: " + path);
+  // Write a sibling temp file and rename it over `path` only once it is
+  // complete and closed: a refused save, a failed write or a crash leaves
+  // the previous artifact intact.
+  const std::string tmp = path + ".tmp";
+  try {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw snapshot::CheckpointIoError(
+          "cannot open checkpoint for writing: " + tmp);
+    }
+    saveCheckpoint(static_cast<std::ostream&>(out));
+    out.close();
+    if (!out) {
+      throw snapshot::CheckpointIoError("checkpoint close failed: " + tmp);
+    }
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw snapshot::CheckpointIoError("cannot rename " + tmp + " to " +
+                                        path);
+    }
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
   }
 }
 

@@ -41,6 +41,15 @@
 //    both are pristine, exactly as in a fresh build;
 //  * MembershipEngine's jitter RNG — never advanced; forks are pure.
 //
+// Layouts: every section is described once, as an io() template that the
+// writing and the reading archive both run (snapshot_io.hpp), so save and
+// restore cannot drift apart; a restore rejects a known section whose
+// layout leaves payload bytes unread. Restore parses and validates the
+// whole file into staging state before it mutates the system. A path
+// save writes `path.tmp` and renames it over `path` only once the file is
+// complete, so a refused or failed save leaves the previous artifact
+// intact.
+//
 // Config compatibility: the header carries a fingerprint over every
 // result-determining config field. maintenanceThreads and
 // pipelinedDispatch are excluded — restore at any thread count, in either

@@ -9,10 +9,12 @@
 // Readers skip sections whose fourcc they do not recognize (forward
 // compatibility: a newer writer may append sections without bumping the
 // format version), verify every recognized section's CRC before parsing a
-// byte of it, and bounds-check every length against the remaining file
-// before allocating — a truncated or bit-flipped file produces a typed
-// CheckpointError, never UB (tests/snapshot/snapshot_hostile_test.cpp runs
-// this layer under ASan).
+// byte of it, bounds-check every length against the remaining file before
+// allocating, and require a recognized section's payload to be consumed
+// exactly — a truncated, padded or bit-flipped file produces a typed
+// CheckpointError, never UB (tests/snapshot/snapshot_hostile_test.cpp
+// runs this layer under ASan). Section payloads are produced and parsed
+// by the two archives below, from one io() description per layout.
 //
 // Scalars and bulk arrays are little-endian; the simulator only targets
 // little-endian hosts (enforced below), so serialization is memcpy-speed:
@@ -122,26 +124,66 @@ struct FileHeader {
   std::uint64_t seed = 0;
 };
 
-// --- writing ---------------------------------------------------------------
+// --- archives --------------------------------------------------------------
+//
+// Each section's layout is written exactly once, as a function template
+//
+//     template <class Ar> void io(Ar& ar, X& x);
+//
+// (the cereal / boost.serialization `serialize(ar)` idiom), and both
+// archives run it: SectionWriter appends every field it is handed, Cursor
+// parses the same bytes back into the same fields. The two share one
+// member set, so a field cannot be saved without being restored, nor in
+// another order or width:
+//
+//   ar(a, b, ...)        scalar fields, each as its raw bytes
+//   ar.array(vec)        bulk array: u64 count + raw element bytes
+//   ar.count(n, min, what[, exact])
+//                        u64 length of a list io() walks element by element
+//   ar.expect(ok, what)  an invariant the parsed bytes must satisfy
+//
+// Loading checks every length against the payload left (and against an
+// exact size the world dictates) before it allocates. The restore loop
+// also requires each known section's io() to consume its payload exactly
+// (Cursor::atEnd), so a writer/reader drift fails closed instead of
+// leaving trailing bytes unread.
 
-/// Accumulates one section's payload in memory — the length and CRC in the
-/// section frame are only known once the payload is complete.
+/// A field `ar(...)` may carry: trivially copyable with no padding bytes
+/// (padding is indeterminate and would make the format non-canonical).
+/// Enums and bools are excluded — their range must be checked on load.
+template <typename T>
+inline constexpr bool kScalarField =
+    std::is_trivially_copyable_v<T> && !std::is_enum_v<T> &&
+    !std::is_same_v<T, bool> &&
+    (std::has_unique_object_representations_v<T> ||
+     std::is_floating_point_v<T>);
+
+/// `exact` argument of count(): the list may have any length.
+inline constexpr std::size_t kAnyCount = static_cast<std::size_t>(-1);
+
+/// Saving archive: accumulates one section's payload in memory — the
+/// length and CRC in the section frame are only known once it is complete.
 class SectionWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) { pod(v); }
-  void u64(std::uint64_t v) { pod(v); }
-  void i64(std::int64_t v) { pod(v); }
-  void f64(double v) { pod(v); }
+  template <typename... T>
+  void operator()(const T&... fields) {
+    (pod(fields), ...);
+  }
 
-  /// Length-prefixed bulk array of a trivially-copyable element type:
-  /// u64 count + raw bytes. The memcpy path every large table uses.
   template <typename T>
-  void raw(std::span<const T> values) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    u64(values.size());
+  void array(const std::vector<T>& values) {
+    static_assert(kScalarField<T>);
+    pod(std::uint64_t{values.size()});
     append(values.data(), values.size() * sizeof(T));
   }
+
+  void count(std::size_t n, std::size_t /*minBytes*/, const char* /*what*/,
+             std::size_t /*exact*/ = kAnyCount) {
+    pod(std::uint64_t{n});
+  }
+
+  /// The live state being saved is trusted; only loading validates.
+  void expect(bool /*ok*/, const char* /*what*/) noexcept {}
 
   [[nodiscard]] const std::vector<std::uint8_t>& buffer() const noexcept {
     return buf_;
@@ -150,8 +192,8 @@ class SectionWriter {
 
  private:
   template <typename T>
-  void pod(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
+  void pod(const T& v) {
+    static_assert(kScalarField<T>);
     append(&v, sizeof(T));
   }
   void append(const void* data, std::size_t len) {
@@ -181,34 +223,47 @@ class CheckpointWriter {
 
 // --- reading ---------------------------------------------------------------
 
-/// Bounds-checked parser over one section's (CRC-verified) payload. Every
-/// read past the end throws CheckpointFormatError.
+/// Loading archive: a bounds-checked parser over one section's
+/// (CRC-verified) payload. Every read past the end, impossible length or
+/// failed expect() throws CheckpointFormatError.
 class Cursor {
  public:
-  Cursor(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
   explicit Cursor(std::span<const std::uint8_t> payload)
-      : Cursor(payload.data(), payload.size()) {}
+      : data_(payload.data()), size_(payload.size()) {}
 
-  [[nodiscard]] std::uint8_t u8() { return take<std::uint8_t>(); }
-  [[nodiscard]] std::uint32_t u32() { return take<std::uint32_t>(); }
-  [[nodiscard]] std::uint64_t u64() { return take<std::uint64_t>(); }
-  [[nodiscard]] std::int64_t i64() { return take<std::int64_t>(); }
-  [[nodiscard]] double f64() { return take<double>(); }
+  template <typename... T>
+  void operator()(T&... fields) {
+    (pod(fields), ...);
+  }
 
-  /// Inverse of SectionWriter::raw — the element count is validated
-  /// against the remaining payload before anything is allocated.
   template <typename T>
-  [[nodiscard]] std::vector<T> raw() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t count = u64();
-    if (count > remaining() / sizeof(T)) {
-      throw CheckpointFormatError(
-          "checkpoint section: array length exceeds payload");
+  void array(std::vector<T>& values) {
+    static_assert(kScalarField<T>);
+    std::size_t n = 0;
+    count(n, sizeof(T), "checkpoint section: array");
+    values.resize(n);
+    copy(values.data(), n * sizeof(T));
+  }
+
+  /// Reads a list length into `n`, rejecting one that differs from
+  /// `exact` (when given) or that leaves fewer than `minBytes` of payload
+  /// per element — before the caller allocates anything.
+  void count(std::size_t& n, std::size_t minBytes, const char* what,
+             std::size_t exact = kAnyCount) {
+    std::uint64_t len = 0;
+    pod(len);
+    if (exact != kAnyCount && len != exact) {
+      throw CheckpointFormatError(std::string(what) + ": count mismatch");
     }
-    std::vector<T> out(static_cast<std::size_t>(count));
-    copy(out.data(), static_cast<std::size_t>(count) * sizeof(T));
-    return out;
+    if (len > remaining() / minBytes) {
+      throw CheckpointFormatError(std::string(what) +
+                                  ": length exceeds payload");
+    }
+    n = static_cast<std::size_t>(len);
+  }
+
+  void expect(bool ok, const char* what) {
+    if (!ok) throw CheckpointFormatError(what);
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {
@@ -218,17 +273,15 @@ class Cursor {
 
  private:
   template <typename T>
-  [[nodiscard]] T take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    T v;
+  void pod(T& v) {
+    static_assert(kScalarField<T>);
     copy(&v, sizeof(T));
-    return v;
   }
   void copy(void* dst, std::size_t len) {
     if (len > remaining()) {
       throw CheckpointFormatError("checkpoint section: truncated payload");
     }
-    // raw<T>() of an empty array hands us the null data() of an empty
+    // array() of an empty list hands us the null data() of an empty
     // vector; memcpy's arguments are declared nonnull even for len 0.
     if (len > 0) {
       std::memcpy(dst, data_ + pos_, len);

@@ -8,12 +8,16 @@
 
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/scenario.hpp"
 #include "core/simulation.hpp"
+#include "fault/fault_plan.hpp"
 #include "snapshot/checkpoint.hpp"
 
 namespace avmem::snapshot {
@@ -50,9 +54,36 @@ const std::string& goodBytes() {
   return bytes;
 }
 
+/// A world carrying the conditional sections the default donor lacks:
+/// the AVMON overlay (AVMN) and an attack campaign open at the save
+/// instant (FALT).
+Scenario avmonFaultScenario() {
+  Scenario s = core::makeScaleScenario(128, /*seed=*/5);
+  s.config.shuffle.period = sim::SimDuration::seconds(15);
+  s.config.backend = core::AvailabilityBackend::kAvmon;
+  s.config.avmon.hashAlgorithm = hashing::PairHashAlgorithm::kFast64;
+  s.config.faultPlanPath.clear();
+  s.config.faultPlan = fault::parseFaultPlanText(
+      "[attack]\nfrom_h = 0.1\nto_h = 0.5\nperiod_s = 90\n"
+      "kind = flooding\n");
+  return s;
+}
+
+const std::string& avmonFaultBytes() {
+  static const std::string bytes = [] {
+    AvmemSimulation donor(avmonFaultScenario().config);
+    donor.warmup(sim::SimDuration::minutes(13));
+    std::ostringstream out(std::ios::binary);
+    donor.saveCheckpoint(out);
+    return out.str();
+  }();
+  return bytes;
+}
+
 void expectRestoreThrows(const std::string& bytes,
-                         void (*check)(const CheckpointError&)) {
-  AvmemSimulation victim(donorScenario().config);
+                         void (*check)(const CheckpointError&),
+                         const Scenario& target = donorScenario()) {
+  AvmemSimulation victim(target.config);
   std::istringstream in(bytes, std::ios::binary);
   try {
     victim.restoreCheckpoint(in);
@@ -66,11 +97,15 @@ void expectRestoreThrows(const std::string& bytes,
 }
 
 template <typename Expected>
-void expectRestoreError(const std::string& bytes) {
-  expectRestoreThrows(bytes, [](const CheckpointError& e) {
-    EXPECT_NE(dynamic_cast<const Expected*>(&e), nullptr)
-        << "wrong error type: " << e.what();
-  });
+void expectRestoreError(const std::string& bytes,
+                        const Scenario& target = donorScenario()) {
+  expectRestoreThrows(
+      bytes,
+      [](const CheckpointError& e) {
+        EXPECT_NE(dynamic_cast<const Expected*>(&e), nullptr)
+            << "wrong error type: " << e.what();
+      },
+      target);
 }
 
 /// A section frame located inside the raw byte string.
@@ -233,6 +268,30 @@ TEST(SnapshotHostileTest, PayloadShrunkBehindValidCrc) {
       reframe(good.substr(0, kHeaderBytes), sections));
 }
 
+TEST(SnapshotHostileTest, TrailingBytesInEverySectionBehindValidCrc) {
+  // CRC-valid but structurally long: a section whose layout leaves bytes
+  // unread means writer and reader disagree, and must not restore. Both
+  // donors together carry every v3 section tag.
+  const std::pair<const std::string*, Scenario> donors[] = {
+      {&goodBytes(), donorScenario()},
+      {&avmonFaultBytes(), avmonFaultScenario()}};
+  std::size_t mutated = 0;
+  for (const auto& [good, scenario] : donors) {
+    const auto sections = sectionsOf(*good);
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      SCOPED_TRACE("section=" + std::to_string(sections[i].first));
+      auto padded = sections;
+      padded[i].second.append(16, '\0');
+      expectRestoreError<CheckpointFormatError>(
+          reframe(good->substr(0, kHeaderBytes), padded), scenario);
+      ++mutated;
+    }
+  }
+  EXPECT_EQ(mutated, sectionsOf(goodBytes()).size() +
+                         sectionsOf(avmonFaultBytes()).size());
+  EXPECT_EQ(sectionsOf(avmonFaultBytes()).size(), 12u);
+}
+
 TEST(SnapshotHostileTest, LyingNodeCountBehindValidCrc) {
   const std::string& good = goodBytes();
   auto sections = sectionsOf(good);
@@ -281,6 +340,44 @@ TEST(SnapshotHostileTest, RestoreRefusesStartedSystem) {
   running.warmup(sim::SimDuration::minutes(5));
   std::istringstream in(goodBytes(), std::ios::binary);
   EXPECT_THROW(running.restoreCheckpoint(in), CheckpointUnsupportedError);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+TEST(SnapshotHostileTest, RefusedPathSaveKeepsThePreviousArtifact) {
+  const std::string path =
+      testing::TempDir() + "snapshot_hostile_previous.avmem";
+  const std::string previous = "the previous checkpoint, byte for byte";
+  std::ofstream(path, std::ios::binary) << previous;
+
+  // Never started: the save is refused.
+  AvmemSimulation cold(donorScenario().config);
+  EXPECT_THROW(cold.saveCheckpoint(path), CheckpointUnsupportedError);
+  EXPECT_EQ(slurp(path), previous);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A warm world on a backend the format cannot capture: refused too.
+  Scenario aged = donorScenario();
+  aged.config.backend = core::AvailabilityBackend::kAged;
+  AvmemSimulation busy(aged.config);
+  busy.warmup(sim::SimDuration::minutes(5));
+  EXPECT_THROW(busy.saveCheckpoint(path), CheckpointUnsupportedError);
+  EXPECT_EQ(slurp(path), previous);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  // A valid save replaces it whole, leaving no temp file behind.
+  AvmemSimulation warm(donorScenario().config);
+  warm.warmup(sim::SimDuration::minutes(5));
+  warm.saveCheckpoint(path);
+  std::ostringstream expected(std::ios::binary);
+  warm.saveCheckpoint(expected);
+  EXPECT_EQ(slurp(path), expected.str());
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  std::filesystem::remove(path);
 }
 
 TEST(SnapshotHostileTest, MissingFileIsIoError) {
